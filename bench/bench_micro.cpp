@@ -3,6 +3,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "analysis/aggregate.h"
 #include "common/rng.h"
 #include "core/prober.h"
@@ -29,6 +31,41 @@ void BM_EventQueueScheduleRun(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_EventQueueScheduleRun)->Arg(1000)->Arg(100000);
+
+// Steady-state schedule/cancel/fire with the shape of a paper-campaign
+// stall episode: a few events in flight, and about 1 in 180 scheduled
+// events (0.55%: ~2.2 of ~390 per episode, seed 20200101) is a probation
+// or retry timer cancelled before it fires.
+void BM_EventQueueCancelMix(benchmark::State& state) {
+  constexpr std::size_t kCancelEvery = 180;
+  constexpr std::size_t kInFlight = 8;
+  const auto n = static_cast<std::size_t>(state.range(0));
+  Rng rng(11);
+  std::vector<SimDuration> delays(n);
+  for (SimDuration& d : delays) d = SimDuration::seconds(rng.exponential(2.0));
+  for (auto _ : state) {
+    Simulator sim;
+    std::uint64_t fired = 0;
+    for (std::size_t i = 0; i < kInFlight; ++i) {
+      sim.schedule_after(delays[i], [&fired] { ++fired; });
+    }
+    ScheduledEvent probation;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i % kCancelEvery == 0) {
+        probation = sim.schedule_after(SimDuration::seconds(60.0), [&fired] { fired += 2; });
+      } else if (i % kCancelEvery == kCancelEvery / 2) {
+        probation.cancel();
+      }
+      sim.schedule_after(delays[i], [&fired] { ++fired; });
+      sim.step();
+    }
+    sim.run();
+    benchmark::DoNotOptimize(fired);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_EventQueueCancelMix)->Arg(100000);
 
 void BM_RngLognormal(benchmark::State& state) {
   Rng rng(42);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
-#include <functional>
 #include <iterator>
 #include <optional>
 #include <utility>
@@ -514,7 +513,11 @@ class Campaign::DeviceRun final : public FailureEventListener {
   void run_oos_episode(const Session& s);
   void prepare_cell(const Session& s, double base_failure_prob, double overload_override);
   bool ensure_active(const Session& s);
-  void drive_until(const std::function<bool()>& done, std::uint64_t max_steps = 4'000'000);
+  /// Steps the simulator until `done()` holds, the queue drains, or
+  /// `max_steps` events have fired; a cap exit with `done()` still false is
+  /// counted in cap_hits_.
+  template <typename Done>
+  void drive_until(const Done& done, std::uint64_t max_steps = 4'000'000);
   void schedule_traffic();
   bool stage_fix(RecoveryStage stage);
   void clear_fault();
@@ -551,6 +554,9 @@ class Campaign::DeviceRun final : public FailureEventListener {
   std::uint64_t forced_oos_sessions_ = 0;
   std::uint64_t degraded_sessions_ = 0;
   std::uint64_t faults_injected_ = 0;
+
+  /// drive_until exits at max_steps with the predicate still false.
+  std::uint64_t cap_hits_ = 0;
 };
 
 void Campaign::DeviceRun::plan_sessions() {
@@ -839,10 +845,14 @@ void Campaign::DeviceRun::prepare_cell(const Session& s, double base_failure_pro
   tm.set_cell_context({s.active.bs, s.active.rat, s.active.level});
 }
 
-void Campaign::DeviceRun::drive_until(const std::function<bool()>& done,
-                                      std::uint64_t max_steps) {
+template <typename Done>
+void Campaign::DeviceRun::drive_until(const Done& done, std::uint64_t max_steps) {
   std::uint64_t steps = 0;
-  while (!done() && steps < max_steps) {
+  while (!done()) {
+    if (steps == max_steps) {
+      ++cap_hits_;
+      break;
+    }
     if (!sim_->step()) break;
     ++steps;
   }
@@ -1221,6 +1231,8 @@ void Campaign::DeviceRun::execute() {
   // merged sums (order-canonical, no incremental float drift).
   out_.overhead.add_device(mod_->monitor().overhead());
   publish_scenario_counters();
+  // Registered only when a cap was hit, so default exports stay unchanged.
+  if (cap_hits_ > 0) out_.metrics.counter("sim.drive_until.cap_hits").add(cap_hits_);
 }
 
 void Campaign::DeviceRun::publish_scenario_counters() {

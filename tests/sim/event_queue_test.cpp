@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
 #include <vector>
 
 namespace cellrel {
@@ -56,8 +58,9 @@ TEST(Simulator, CancelPreventsExecution) {
   EXPECT_FALSE(e.pending());
   EXPECT_EQ(sim.run(), 0u);
   EXPECT_EQ(fired, 0);
-  // The clock still advances past cancelled entries' times only if fired;
-  // cancelled events do not advance now().
+  // Popping a cancelled entry still advances the clock to its time; the
+  // campaign's outputs depend on this.
+  EXPECT_EQ(sim.now(), SimTime::from_seconds(1.0));
 }
 
 TEST(Simulator, CancelAfterFireIsNoop) {
@@ -135,6 +138,101 @@ TEST(Simulator, CancellationFromInsideEvent) {
   later = sim.schedule_after(SimDuration::seconds(2.0), [&] { ++fired; });
   sim.run();
   EXPECT_EQ(fired, 0);
+}
+
+TEST(Simulator, StaleHandleDoesNotTouchSlotReuser) {
+  Simulator sim;
+  int first = 0;
+  int second = 0;
+  ScheduledEvent stale = sim.schedule_after(SimDuration::seconds(1.0), [&] { ++first; });
+  sim.run();
+  // The next event reuses the freed slot; the old handle must not see it.
+  ScheduledEvent fresh = sim.schedule_after(SimDuration::seconds(1.0), [&] { ++second; });
+  EXPECT_FALSE(stale.pending());
+  EXPECT_TRUE(fresh.pending());
+  stale.cancel();
+  EXPECT_TRUE(fresh.pending());
+  EXPECT_EQ(sim.run(), 1u);
+  EXPECT_EQ(first, 1);
+  EXPECT_EQ(second, 1);
+}
+
+TEST(Simulator, StaleHandleOfCancelledEventDoesNotTouchSlotReuser) {
+  Simulator sim;
+  int fired = 0;
+  ScheduledEvent stale = sim.schedule_after(SimDuration::seconds(1.0), [&] { fired += 100; });
+  stale.cancel();
+  EXPECT_EQ(sim.run(), 0u);
+  ScheduledEvent fresh = sim.schedule_after(SimDuration::seconds(1.0), [&] { ++fired; });
+  stale.cancel();
+  EXPECT_TRUE(fresh.pending());
+  EXPECT_EQ(sim.run(), 1u);
+  EXPECT_EQ(fired, 1);
+}
+
+TEST(Simulator, HandleCopiesShareCancellation) {
+  Simulator sim;
+  int fired = 0;
+  const ScheduledEvent original =
+      sim.schedule_after(SimDuration::seconds(1.0), [&] { ++fired; });
+  ScheduledEvent copy = original;
+  EXPECT_TRUE(original.pending());
+  copy.cancel();
+  EXPECT_FALSE(original.pending());
+  EXPECT_FALSE(copy.pending());
+  EXPECT_EQ(sim.run(), 0u);
+  EXPECT_EQ(fired, 0);
+}
+
+TEST(Simulator, HandleIsNotPendingInsideItsOwnCallback) {
+  Simulator sim;
+  ScheduledEvent self;
+  bool pending_inside = true;
+  self = sim.schedule_after(SimDuration::seconds(1.0), [&] {
+    pending_inside = self.pending();
+    self.cancel();  // a no-op: the event is already running
+  });
+  EXPECT_EQ(sim.run(), 1u);
+  EXPECT_FALSE(pending_inside);
+}
+
+TEST(Simulator, CallbackMayGrowTheSlabWhileRunning) {
+  Simulator sim;
+  constexpr int kChildren = 10'000;
+  // The capture is large enough to be clobbered if the running callback
+  // were still read from its slot after the slab reallocated.
+  std::vector<int> order;
+  std::function<void(int)> record = [&order](int v) { order.push_back(v); };
+  sim.schedule_after(SimDuration::seconds(1.0), [&sim, record, tag = 7] {
+    for (int i = 0; i < kChildren; ++i) {
+      sim.schedule_after(SimDuration::seconds(1.0), [record, i] { record(i); });
+    }
+    record(-tag);
+  });
+  EXPECT_EQ(sim.run(), static_cast<std::size_t>(kChildren) + 1);
+  ASSERT_EQ(order.size(), static_cast<std::size_t>(kChildren) + 1);
+  EXPECT_EQ(order.front(), -7);
+  for (int i = 0; i < kChildren; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i) + 1], i);
+  EXPECT_EQ(sim.now(), SimTime::from_seconds(2.0));
+}
+
+TEST(Simulator, AcceptsMoveOnlyCapture) {
+  Simulator sim;
+  int seen = 0;
+  auto owned = std::make_unique<int>(42);
+  sim.schedule_after(SimDuration::seconds(1.0), [p = std::move(owned), &seen] { seen = *p; });
+  EXPECT_EQ(sim.run(), 1u);
+  EXPECT_EQ(seen, 42);
+}
+
+TEST(Simulator, CancelledCaptureIsReleasedWhenPopped) {
+  Simulator sim;
+  auto token = std::make_shared<int>(0);
+  ScheduledEvent e = sim.schedule_after(SimDuration::seconds(1.0), [token] {});
+  EXPECT_EQ(token.use_count(), 2);
+  e.cancel();
+  sim.run();
+  EXPECT_EQ(token.use_count(), 1);
 }
 
 }  // namespace

@@ -111,6 +111,30 @@ TEST(CellrelLint, BatchHygieneAllowsStringView) {
                         "batch-hygiene"));
 }
 
+TEST(CellrelLint, EngineHygieneFixtureTree) {
+  const auto violations = lint_tree(kFixtures / "engine_hygiene");
+  // sim/event_queue.h seeds a std::function member, a shared_ptr member and
+  // a make_shared call; the comment and string-literal mentions and the
+  // identical tokens in timer_wheel.h (not an engine file) stay silent.
+  EXPECT_EQ(std::count_if(violations.begin(), violations.end(),
+                          [](const Violation& v) { return v.rule == "engine-hygiene"; }),
+            3);
+  for (const auto& v : violations) {
+    if (v.rule == "engine-hygiene") {
+      EXPECT_EQ(v.file, "sim/event_queue.h");
+    }
+  }
+}
+
+TEST(CellrelLint, EngineHygieneConfinedToEngineFiles) {
+  const auto& opts = default_options();
+  const std::string source = "#include <functional>\nstd::function<void()> f;\n";
+  EXPECT_TRUE(has_rule(lint_source(source, "sim", "sim/event_queue.cpp", opts),
+                       "engine-hygiene"));
+  EXPECT_FALSE(has_rule(lint_source(source, "sim", "sim/clock.cpp", opts),
+                        "engine-hygiene"));
+}
+
 TEST(CellrelLint, ModuleCycleDetected) {
   const auto violations = lint_tree(kFixtures / "cycle");
   ASSERT_TRUE(has_rule(violations, "module-cycle"));
@@ -356,7 +380,7 @@ TEST(CellrelLint, RuleCatalogCoversEmittedRules) {
   const auto& catalog = rule_catalog();
   for (const char* id :
        {"layering", "nondeterminism", "naked-new", "threading", "obs", "shard-state",
-        "ordered-export", "nodiscard-check", "module-cycle", "include-cycle",
+        "ordered-export", "nodiscard-check", "engine-hygiene", "module-cycle", "include-cycle",
         "include-guard", "bad-suppression", "unknown-module", "io-error"}) {
     EXPECT_TRUE(std::any_of(catalog.begin(), catalog.end(),
                             [&](const RuleInfo& r) { return r.id == id; }))

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "analysis/aggregate.h"
 
@@ -203,6 +204,19 @@ TEST(CampaignDeterminism, DifferentSeedsDiffer) {
   const CampaignResult ra = Campaign(a).run();
   const CampaignResult rb = Campaign(b).run();
   EXPECT_NE(ra.dataset.records.size(), rb.dataset.records.size());
+}
+
+// No device's drive_until loop may stop at its step cap with its goal
+// unmet: the counter exists only when one did.
+TEST(CampaignStepCaps, PaperScenarioNeverHitsACap) {
+  for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Scenario sc = small_scenario(seed);
+    sc.device_count = 400;
+    const CampaignResult r = Campaign(sc).run();
+    EXPECT_GT(r.simulated_events, 0u);
+    EXPECT_EQ(r.metrics.counters().count("sim.drive_until.cap_hits"), 0u);
+  }
 }
 
 TEST(EnhancementAb, StabilityPolicyReduces5GFailures) {

@@ -246,6 +246,20 @@ TEST_F(ScenarioPackTest, MetricsSurfaceIsFeatureGated) {
   EXPECT_EQ(obs::metrics_to_json(incident.metrics).find("nan"), std::string::npos);
 }
 
+// No device's drive_until loop may stop at its step cap with its goal
+// unmet: the counter exists only when one did.
+TEST_F(ScenarioPackTest, MobilityAndIncidentPackNeverHitsAStepCap) {
+  for (const std::uint64_t seed : {11ULL, 71ULL, 2021ULL}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Scenario sc = pack_scenario(seed, 2);
+    configure_mobility(sc);
+    configure_incident(sc);
+    const CampaignResult r = Campaign(sc).run();
+    EXPECT_GT(r.simulated_events, 0u);
+    EXPECT_EQ(r.metrics.counters().count("sim.drive_until.cap_hits"), 0u);
+  }
+}
+
 // Acceptance floor: the commuter workload multiplies RAT transitions per
 // device by >= 10x, and the Fig. 17 preset answer shifts with it.
 TEST_F(ScenarioPackTest, MobilityMultipliesRatTransitionsTenfold) {

@@ -599,6 +599,31 @@ void scan_batch_hygiene(const std::vector<Token>& code, const std::string& relat
   }
 }
 
+/// Rule 10: engine-hygiene — the event engine must stay allocation-free per
+/// event: callbacks are stored inline (no `std::function`) and handles are
+/// {slot, generation} pairs into the Simulator's slab (no shared state
+/// block).
+void scan_engine_hygiene(const std::vector<Token>& code, const std::string& relative_path,
+                         const LintOptions& options, FileAnalysis* out) {
+  if (options.engine_hot_files.count(relative_path) == 0) return;
+  for (std::size_t i = 0; i < code.size(); ++i) {
+    if (code[i].kind != TokKind::kIdentifier) continue;
+    const std::string& t = code[i].text;
+    if (t == "std" && is_punct(code, i + 1, "::") && is_ident(code, i + 2, "function")) {
+      out->violations.push_back(
+          {relative_path, code[i + 2].line, "engine-hygiene",
+           "'std::function' in the event engine; callbacks are stored inline in "
+           "the Simulator's slab as a Callback"});
+    }
+    if (t == "shared_ptr" || t == "make_shared") {
+      out->violations.push_back(
+          {relative_path, code[i].line, "engine-hygiene",
+           "shared ownership ('" + t + "') in the event engine; handles are "
+           "{slot, generation} pairs into the Simulator's slab"});
+    }
+  }
+}
+
 /// Tree-level helper: does the header open with a guard?
 bool has_include_guard(const std::vector<Token>& code) {
   if (code.size() >= 3 && is_punct(code, 0, "#") && is_ident(code, 1, "pragma") &&
@@ -631,6 +656,7 @@ FileAnalysis analyze_source(const std::string& source, const std::string& module
   scan_ordered_export(code, module, relative_path, options, &out);
   scan_nodiscard(code, relative_path, options, &out);
   scan_batch_hygiene(code, relative_path, options, &out);
+  scan_engine_hygiene(code, relative_path, options, &out);
   out.has_include_guard = has_include_guard(code);
 
   // Suppressions: drop findings covered by a justification-carrying
@@ -671,6 +697,8 @@ const std::vector<RuleInfo>& rule_catalog() {
       {"bad-suppression", "suppression comments must carry a non-empty reason"},
       {"batch-hygiene",
        "no std::string or per-record heap allocation in the columnar batch hot path"},
+      {"engine-hygiene",
+       "no std::function or shared ownership in the allocation-free event engine"},
       {"include-cycle", "the file-level include graph must stay acyclic"},
       {"include-guard", "headers need #pragma once or an #ifndef/#define guard"},
       {"io-error", "a scanned path could not be read"},
@@ -705,6 +733,7 @@ LintOptions default_options() {
   o.ordered_export_modules = {"obs", "analysis", "detect", "query"};
   o.ordered_export_files = {"workload/campaign.cpp", "workload/campaign.h"};
   o.batch_hot_files = {"analysis/batch.h", "analysis/batch.cpp"};
+  o.engine_hot_files = {"sim/event_queue.h", "sim/event_queue.cpp"};
   o.must_check = {
       {"validate", /*member_only=*/true},
       {"parse_rat", false},

@@ -39,11 +39,16 @@
 //                       is interned through StringPool/ApnId and columns only
 //                       grow through vector reserve + the BatchArena.
 //                       `std::string_view` is fine.
+// 10. engine-hygiene  — `std::function`, `shared_ptr` and `make_shared` are
+//                       banned in the event engine (sim/event_queue.*):
+//                       callbacks live inline in the Simulator's slab and
+//                       handles are {slot, generation}, so scheduling,
+//                       firing and cancelling never allocate.
 //
 //  tree-level
-// 10. module-cycle    — the module dependency graph must stay acyclic.
-// 11. include-cycle   — the file-level include graph must stay acyclic.
-// 12. include-guard   — every header needs #pragma once or a classic
+// 11. module-cycle    — the module dependency graph must stay acyclic.
+// 12. include-cycle   — the file-level include graph must stay acyclic.
+// 13. include-guard   — every header needs #pragma once or a classic
 //                       #ifndef/#define guard.
 //
 // Suppressions: a finding on line N is suppressed by a comment on line N
@@ -104,6 +109,9 @@ struct LintOptions {
   /// Files (tree-relative) forming the columnar batch hot path, where
   /// batch-hygiene bans std::string and per-record heap allocation.
   std::set<std::string> batch_hot_files;
+  /// Files (tree-relative) forming the event engine, where engine-hygiene
+  /// bans std::function and shared ownership.
+  std::set<std::string> engine_hot_files;
   /// APIs whose results may not be discarded.
   std::vector<MustCheckApi> must_check;
 };
