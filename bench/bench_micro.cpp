@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "analysis/aggregate.h"
+#include "analysis/full_report.h"
 #include "common/rng.h"
 #include "core/prober.h"
 #include "net/tcp_stats.h"
@@ -130,6 +131,23 @@ void BM_Aggregation(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Aggregation)->Unit(benchmark::kMillisecond);
+
+// The whole §3 report from a dataset: the fold plus all of its queries,
+// the work cellbench's `report_s` times on a 4,000-device paper campaign.
+void BM_AggregatorFullReport(benchmark::State& state) {
+  Scenario sc;
+  sc.device_count = 4000;
+  sc.deployment.bs_count = 8000;
+  sc.threads = 0;  // set-up only; the dataset is the same for every value
+  Campaign campaign(sc);
+  const CampaignResult r = campaign.run();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(render_full_report(Aggregator(r.dataset)).size());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(r.dataset.records.size()));
+}
+BENCHMARK(BM_AggregatorFullReport)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace cellrel

@@ -100,6 +100,12 @@ class RecordBatch {
 
   RowView row(std::size_t i) const;
 
+  /// Decodes one record into a row view without a pool: `apn` is left 0
+  /// (push() interns the record's APN text). The record-at-a-time feeds
+  /// (Aggregator over a dataset, QueryExecutor::add_record) use this to
+  /// share the batch-row path.
+  static RowView row_of(const TraceRecord& record);
+
   /// Expands row `i` into a full TraceRecord (bit-exact inverse of push()
   /// for records produced by the campaign monitor).
   TraceRecord materialize_row(std::size_t i, const MaterializeContext& ctx) const;

@@ -47,6 +47,12 @@ struct ConnectedTimeTable {
   void add(Rat rat, SignalLevel level, double s) {
     seconds[index_of(rat)][index_of(level)] += s;
   }
+  /// Element-wise sum (the shard merge's summation grouping).
+  void merge(const ConnectedTimeTable& other) {
+    for (std::size_t r = 0; r < kRatCount; ++r) {
+      for (std::size_t l = 0; l < kSignalLevelCount; ++l) seconds[r][l] += other.seconds[r][l];
+    }
+  }
   double level_total(SignalLevel level) const {
     double t = 0.0;
     for (std::size_t r = 0; r < kRatCount; ++r) t += seconds[r][index_of(level)];

@@ -2,7 +2,6 @@
 
 #include <cstdio>
 
-#include "analysis/aggregate.h"
 #include "analysis/report.h"
 #include "device/phone_model.h"
 
@@ -18,7 +17,7 @@ void append_f(std::string& out, const char* fmt, auto... args) {
 
 }  // namespace
 
-std::string render_full_report(const AggregatorView& agg, const FullReportOptions& options) {
+std::string render_full_report(const Aggregator& agg, const FullReportOptions& options) {
   std::string out;
   out += "# " + options.title + "\n\n";
 

@@ -1,12 +1,12 @@
 // The query engine: compiles a QuerySpec into an accumulator and runs it
 // over any of the campaign's record sources.
 //
-// QueryExecutor mirrors the StreamingAggregator ingestion surface
-// (add_devices / consume(RecordBatch) / add_record(TraceRecord) /
-// add_counts / add_transition_samples), so ONE engine serves all four
-// sources: the materialized in-memory dataset, a dataset directory's CSVs,
-// the per-shard spill CSVs, and the live batch stream of a streaming
-// campaign merge.
+// QueryExecutor mirrors the Aggregator ingestion surface (add_devices /
+// consume(RecordBatch) / add_record(TraceRecord) / add_counts /
+// add_transition_samples), so ONE engine serves all four sources: the
+// materialized in-memory dataset, a dataset directory's CSVs, the per-shard
+// spill CSVs, and the live batch stream of the campaign merge walk. Every
+// record, batch row or not, is ingested through the same RowView path.
 //
 // Bit-identity contract (the PR 2/3/5 determinism contract, extended to
 // query results): records are ingested in sequential record order on every
@@ -84,7 +84,7 @@ struct QueryResult {
   std::vector<BreakdownRow> breakdown;
   std::vector<CdfRow> cdf;
   std::vector<TopRow> top;
-  AggregatorView::TransitionMatrix matrix{};
+  TransitionMatrix matrix{};
 };
 
 /// Accumulates one query over a record stream. Ingestion order must be the
@@ -115,20 +115,10 @@ class QueryExecutor {
   const QuerySpec& spec() const { return spec_; }
 
  private:
-  struct RowFacts {
-    double at_s = 0.0;        // canonical seconds
-    double duration_s = 0.0;  // canonical seconds
-    FailureType type = FailureType::kDataSetupError;
-    Rat rat = Rat::k4G;
-    SignalLevel level = SignalLevel::kLevel0;
-    BsIndex bs = kInvalidBs;
-    FailCause cause = FailCause::kNone;
-  };
-
-  void ingest(DeviceId device, const RowFacts& facts);
+  void ingest(const RecordBatch::RowView& row);
   bool device_passes(const DeviceMeta& device) const;
-  bool record_passes(const RowFacts& facts) const;
-  std::int64_t group_id(const DeviceMeta& device, const RowFacts& facts) const;
+  bool record_passes(const RecordBatch::RowView& row) const;
+  std::int64_t group_id(const DeviceMeta& device, const RecordBatch::RowView& row) const;
 
   QuerySpec spec_;
   /// Keyed device table: lookups during ingestion (model/isp are re-derived

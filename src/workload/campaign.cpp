@@ -103,8 +103,8 @@ std::size_t batch_capacity_for(double expected_shard_records) {
 /// `current`, sealed batches are either retained in `batches` (in-memory
 /// modes) or written to the shard's spill file and their buffer recycled
 /// through `arena` (streaming + spill: O(1) resident batches per shard).
-/// Transitions/dwells are kept as sample vectors in materialized mode but
-/// collapse to order-independent count tables in streaming mode.
+/// Transitions/dwells are always counted into order-independent count
+/// tables; materialized mode also keeps them as sample vectors.
 struct ShardResult {
   // --- Record data plane ---
   StringPool apns;
@@ -120,7 +120,7 @@ struct ShardResult {
   ConnectedTimeTable connected_time;
   std::vector<TransitionRecord> transitions;  // materialized mode
   std::vector<DwellRecord> dwells;            // materialized mode
-  TransitionDwellCounts td_counts;            // streaming mode
+  TransitionDwellCounts td_counts;            // the same samples, counted
 
   std::vector<RecoveryEpisode> recovery_episodes;
   OverheadAccum overhead;
@@ -204,24 +204,6 @@ void move_append(std::vector<T>& into, std::vector<T>&& from) {
   from.clear();
 }
 
-/// Shared tail of both merge modes: overhead/metrics/event sums and the BS
-/// failure delta for one shard, in shard-index order.
-void merge_shard_common(CampaignResult& result, OverheadAccum& overhead, BsRegistry& registry,
-                        ShardResult& s) {
-  move_append(result.recovery_episodes, std::move(s.recovery_episodes));
-  overhead.merge(s.overhead);
-  result.metrics.merge(s.metrics);
-  result.simulated_events += s.simulated_events;
-  result.episodes_run += s.episodes_run;
-  registry.apply_failure_delta(s.bs_failures);
-  if (s.health) {
-    if (!result.health_state) {
-      result.health_state = std::make_unique<detect::HealthTracker>(s.health->config());
-    }
-    result.health_state->merge(*s.health);
-  }
-}
-
 /// Post-merge BS landscape snapshot (counters included).
 std::vector<BsMeta> snapshot_base_stations(const BsRegistry& registry) {
   std::vector<BsMeta> out;
@@ -256,161 +238,128 @@ void publish_process_gauges(CampaignResult& result, const std::vector<ShardResul
   result.metrics.gauge("process.dataplane.batches_reused").set(static_cast<double>(reused));
 }
 
-/// Order-canonical reduction of the shard results into one materialized
-/// CampaignResult. Runs single-threaded after the join; the iteration order
-/// (shard index, then device order within the shard, then emission order
-/// within the device) equals sequential execution order, so every
-/// concatenation and floating-point sum is bit-identical to the threads=1
-/// run. Records are expanded from the columnar batches with an EXACT
-/// reserve taken from the batch manifest — no growth heuristics.
-CampaignResult merge_shard_results(BsRegistry& registry, std::vector<ShardResult>&& shards,
-                                   std::span<const query::QuerySpec> queries) {
+/// The one shard merge. Runs single-threaded after the join and walks the
+/// shards in shard-index order; within a shard, batches come in emission
+/// order, from memory or re-read from the shard's spill file. That order
+/// equals sequential execution order, so every concatenation and
+/// floating-point sum is bit-identical to the threads=1 run, and every
+/// sink sees the same records in the same order in every mode.
+///
+/// Each batch goes to the sinks the scenario turns on:
+///   - the dataset materializer (materialized mode; records are expanded
+///     with an EXACT reserve taken from the batch manifest);
+///   - the Aggregator (streaming mode; CampaignResult::stream);
+///   - the inline-query executors (any mode);
+///   - the records.csv writer (`--stream --out`).
+CampaignResult merge_shards(BsRegistry& registry, std::vector<ShardResult>&& shards,
+                            const Scenario& scenario) {
   CampaignResult result;
+  const bool materialize = !scenario.stream;
+  const std::filesystem::path spill_dir = scenario.spill_dir;
+  const std::filesystem::path stream_out_dir = scenario.stream_out_dir;
 
-  std::size_t records = 0, transitions = 0, dwells = 0, devices = 0, episodes = 0;
-  for (const ShardResult& s : shards) {
-    records += s.batched_records();
-    transitions += s.transitions.size();
-    dwells += s.dwells.size();
-    devices += s.devices.size();
-    episodes += s.recovery_episodes.size();
-  }
-  result.dataset.records.reserve(records);
-  result.dataset.transitions.reserve(transitions);
-  result.dataset.dwells.reserve(dwells);
-  result.dataset.devices.reserve(devices);
-  result.recovery_episodes.reserve(episodes);
-
-  // Merge in shard-index order: shards hold contiguous device ranges in
-  // fleet order, so concatenation leaves devices and records stably ordered
-  // by device id — the same order the sequential executor produces.
-  OverheadAccum overhead;
-  const auto resolve_cell = [&registry](BsIndex bs) { return registry.at(bs).identity(); };
-  for (ShardResult& s : shards) {
-    MaterializeContext ctx;
-    ctx.apns = &s.apns;
-    ctx.devices = std::span<const DeviceMeta>(s.devices);
-    ctx.resolve_cell = resolve_cell;
-    for (const RecordBatch& b : s.batches) b.materialize_into(result.dataset.records, ctx);
-    s.batches.clear();  // free column buffers as we go
-    move_append(result.dataset.devices, std::move(s.devices));
-    move_append(result.dataset.transitions, std::move(s.transitions));
-    move_append(result.dataset.dwells, std::move(s.dwells));
-    for (std::size_t r = 0; r < kRatCount; ++r) {
-      for (std::size_t l = 0; l < kSignalLevelCount; ++l) {
-        result.dataset.connected_time.seconds[r][l] += s.connected_time.seconds[r][l];
-      }
-    }
-    merge_shard_common(result, overhead, registry, s);
-  }
-  result.overhead = overhead.finalize();
-
-  CELLREL_DCHECK(std::is_sorted(result.dataset.devices.begin(),
-                                result.dataset.devices.end(),
-                                [](const DeviceMeta& a, const DeviceMeta& b) {
-                                  return a.id < b.id;
-                                }))
-      << "shard merge must preserve device-id order";
-
-  result.dataset.base_stations = snapshot_base_stations(registry);
-  // Inline queries run over the merged dataset — same entry point as
-  // cellrel_query on an exported dataset dir, so results agree byte-for-byte.
-  result.query_results.reserve(queries.size());
-  for (const query::QuerySpec& spec : queries) {
-    result.query_results.push_back(query::execute_over_dataset(result.dataset, spec));
-  }
-  publish_process_gauges(result, shards);
-  return result;
-}
-
-/// Streaming reduction: folds every shard's batches into a
-/// StreamingAggregator instead of concatenating a dataset. Consumption
-/// order is shard index, then emission order within the shard — exactly the
-/// record order of the materialized dataset — so every floating-point
-/// accumulation runs over the same values in the same order and the
-/// aggregator's tables are bit-identical to Aggregator(materialized
-/// dataset). Spilled shards are re-read from disk one batch buffer at a
-/// time.
-CampaignResult merge_shard_results_streaming(BsRegistry& registry,
-                                             std::vector<ShardResult>&& shards,
-                                             const std::filesystem::path& spill_dir,
-                                             const std::filesystem::path& stream_out_dir,
-                                             std::span<const query::QuerySpec> queries) {
-  CampaignResult result;
-  result.stream = std::make_unique<StreamingAggregator>();
-  StreamingAggregator& agg = *result.stream;
-
-  // Inline queries ride the same single consumption pass as the aggregator:
-  // each executor sees the batches in shard-index order (= the materialized
-  // record order), so its results are byte-identical to execute_over_dataset
-  // on a materialized run of the same scenario.
+  if (scenario.stream) result.stream = std::make_unique<Aggregator>();
+  Aggregator* const agg = result.stream.get();
   std::vector<query::QueryExecutor> executors;
-  executors.reserve(queries.size());
-  for (const query::QuerySpec& spec : queries) executors.emplace_back(spec);
-
-  // Streaming dataset export (--stream --out): each batch is expanded
-  // row-by-row through the shard's MaterializeContext and appended to
-  // records.csv as it is consumed — the record order (shard index, then
-  // emission order) equals the materialized dataset's, so the file is
-  // byte-identical to write_dataset_csv()'s.
+  executors.reserve(scenario.inline_queries.size());
+  for (const query::QuerySpec& spec : scenario.inline_queries) executors.emplace_back(spec);
   std::unique_ptr<TraceCsvStreamWriter> export_csv;
   if (!stream_out_dir.empty()) {
     export_csv = std::make_unique<TraceCsvStreamWriter>(stream_out_dir);
   }
-  const auto resolve_cell = [&registry](BsIndex bs) { return registry.at(bs).identity(); };
+
+  std::size_t episodes = 0;
+  for (const ShardResult& s : shards) episodes += s.recovery_episodes.size();
+  result.recovery_episodes.reserve(episodes);
+  if (materialize) {
+    std::size_t records = 0, transitions = 0, dwells = 0, devices = 0;
+    for (const ShardResult& s : shards) {
+      records += s.batched_records();
+      transitions += s.transitions.size();
+      dwells += s.dwells.size();
+      devices += s.devices.size();
+    }
+    result.dataset.records.reserve(records);
+    result.dataset.transitions.reserve(transitions);
+    result.dataset.dwells.reserve(dwells);
+    result.dataset.devices.reserve(devices);
+  }
 
   OverheadAccum overhead;
-  std::size_t shard_index = 0;
-  for (ShardResult& s : shards) {
-    agg.add_devices(std::span<const DeviceMeta>(s.devices));
-    for (query::QueryExecutor& ex : executors) {
-      ex.add_devices(std::span<const DeviceMeta>(s.devices));
+  const auto resolve_cell = [&registry](BsIndex bs) { return registry.at(bs).identity(); };
+  DeviceId next_id = 0;  // lowest id the walk may meet next
+  for (std::size_t k = 0; k < shards.size(); ++k) {
+    ShardResult& s = shards[k];
+    // Shards hold contiguous device ranges in fleet order, so the walk
+    // leaves devices and records stably ordered by device id.
+    for (const DeviceMeta& d : s.devices) {
+      CELLREL_DCHECK(d.id >= next_id) << "shard merge must preserve device-id order";
+      next_id = d.id + 1;
     }
+    const std::span<const DeviceMeta> devices(s.devices);
+    if (agg) agg->add_devices(devices);
+    for (query::QueryExecutor& ex : executors) ex.add_devices(devices);
+
+    StringPool reload_apns;  // spill APN ids are re-interned per shard
     MaterializeContext ctx;
-    ctx.devices = std::span<const DeviceMeta>(s.devices);  // add_devices copied them
+    ctx.apns = spill_dir.empty() ? &s.apns : &reload_apns;
+    ctx.devices = devices;
     ctx.resolve_cell = resolve_cell;
+    const auto sink = [&](const RecordBatch& b) {
+      if (materialize) b.materialize_into(result.dataset.records, ctx);
+      if (agg) agg->consume(b);
+      for (query::QueryExecutor& ex : executors) ex.consume(b);
+      if (export_csv) export_csv->append(b, ctx);
+    };
     if (!spill_dir.empty()) {
-      StringPool reload_apns;  // ids are shard-local; the aggregator ignores them
-      ctx.apns = &reload_apns;
-      read_spill_batches(spill_dir / spill_shard_file(shard_index), s.batch_capacity,
-                         reload_apns,
-                         [&agg, &executors, &export_csv, &ctx](const RecordBatch& b) {
-                           agg.consume(b);
-                           for (query::QueryExecutor& ex : executors) ex.consume(b);
-                           if (export_csv) export_csv->append(b, ctx);
-                         });
+      read_spill_batches(spill_dir / spill_shard_file(k), s.batch_capacity, reload_apns, sink);
     } else {
-      ctx.apns = &s.apns;
       for (RecordBatch& b : s.batches) {
-        agg.consume(b);
-        for (query::QueryExecutor& ex : executors) ex.consume(b);
-        if (export_csv) export_csv->append(b, ctx);
+        sink(b);
         b = RecordBatch{};  // free column buffers as we go
       }
       s.batches.clear();
     }
-    agg.add_connected_time(s.connected_time);
-    agg.add_counts(s.td_counts);
+
+    if (agg) {
+      agg->add_connected_time(s.connected_time);
+      agg->add_counts(s.td_counts);
+    }
     for (query::QueryExecutor& ex : executors) ex.add_counts(s.td_counts);
-    merge_shard_common(result, overhead, registry, s);
-    ++shard_index;
+    if (materialize) {
+      result.dataset.connected_time.merge(s.connected_time);
+      move_append(result.dataset.devices, std::move(s.devices));
+      move_append(result.dataset.transitions, std::move(s.transitions));
+      move_append(result.dataset.dwells, std::move(s.dwells));
+    }
+
+    move_append(result.recovery_episodes, std::move(s.recovery_episodes));
+    overhead.merge(s.overhead);
+    result.metrics.merge(s.metrics);
+    result.simulated_events += s.simulated_events;
+    result.episodes_run += s.episodes_run;
+    registry.apply_failure_delta(s.bs_failures);
+    if (s.health) {
+      if (!result.health_state) {
+        result.health_state = std::make_unique<detect::HealthTracker>(s.health->config());
+      }
+      result.health_state->merge(*s.health);
+    }
   }
   result.overhead = overhead.finalize();
 
-  CELLREL_DCHECK(std::is_sorted(agg.devices().begin(), agg.devices().end(),
-                                [](const DeviceMeta& a, const DeviceMeta& b) {
-                                  return a.id < b.id;
-                                }))
-      << "shard merge must preserve device-id order";
-
-  agg.set_base_stations(snapshot_base_stations(registry));
-  result.query_results.reserve(executors.size());
-  for (const query::QueryExecutor& ex : executors) {
-    result.query_results.push_back(ex.result());
+  // Failure deltas are applied above, so the snapshot's counters are final.
+  std::vector<BsMeta> base_stations = snapshot_base_stations(registry);
+  if (agg) {
+    agg->set_base_stations(std::move(base_stations));
+  } else {
+    result.dataset.base_stations = std::move(base_stations);
   }
+  result.query_results.reserve(executors.size());
+  for (const query::QueryExecutor& ex : executors) result.query_results.push_back(ex.result());
   if (export_csv) {
     export_csv->close();
-    write_streaming_sidecars_csv(agg, stream_out_dir);
+    write_streaming_sidecars_csv(*agg, stream_out_dir);
   }
   publish_process_gauges(result, shards);
   return result;
@@ -726,25 +675,20 @@ void Campaign::DeviceRun::account_session(const Session& s, bool failure_occurre
     t.to_rat = s.active.rat;
     t.to_level = s.active.level;
     t.failure_within_window = failure_occurred;
-    // Streaming shards fold the sample straight into the count tables the
+    // Every shard folds the sample straight into the count tables the
     // transition matrices consume (integer sums: order-independent, so
-    // shard-local accumulation preserves bit-identity).
-    if (out_.streaming) {
-      out_.td_counts.add(t);
-    } else {
-      out_.transitions.push_back(t);
-    }
+    // shard-local accumulation preserves bit-identity); only a materialized
+    // dataset keeps the sample itself.
+    out_.td_counts.add(t);
+    if (!out_.streaming) out_.transitions.push_back(t);
   } else {
     DwellRecord d;
     d.device = profile_.id;
     d.rat = s.active.rat;
     d.level = s.active.level;
     d.failure_within_window = failure_occurred;
-    if (out_.streaming) {
-      out_.td_counts.add(d);
-    } else {
-      out_.dwells.push_back(d);
-    }
+    out_.td_counts.add(d);
+    if (!out_.streaming) out_.dwells.push_back(d);
   }
 }
 
@@ -1353,12 +1297,7 @@ CampaignResult Campaign::run() {
   CampaignResult result;
   {
     obs::PhaseSpan span(campaign_metrics, "merge");
-    result = scenario_.stream
-                 ? merge_shard_results_streaming(*registry_, std::move(shards), spill_dir,
-                                                 scenario_.stream_out_dir,
-                                                 scenario_.inline_queries)
-                 : merge_shard_results(*registry_, std::move(shards),
-                                       scenario_.inline_queries);
+    result = merge_shards(*registry_, std::move(shards), scenario_);
   }
   // Online detection verdict: score the merged tracker state against the
   // registry's ground truth (failure deltas were applied during the merge,

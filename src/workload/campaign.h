@@ -22,11 +22,12 @@
 //
 // Data plane (see DESIGN.md §10): shards emit trace records into
 // fixed-capacity columnar RecordBatches (analysis/batch.h) instead of AoS
-// TraceRecord vectors. The merge either materializes the batches back into
-// CampaignResult::dataset with an exact reserve (materialized mode), or
-// folds them into a StreamingAggregator so the merged dataset never exists
-// (streaming mode, optionally spilling sealed batches to disk) — with
-// bit-identical analysis output either way.
+// TraceRecord vectors. One merge walk hands every batch, in shard-index
+// order, to the sinks the scenario turns on: the dataset materializer
+// (CampaignResult::dataset, with an exact reserve), or an Aggregator so the
+// merged dataset never exists (streaming mode, optionally spilling sealed
+// batches to disk), plus the inline queries and the `--stream --out` CSV
+// writer — with bit-identical analysis output either way.
 //
 // Hazard normalization: per-session failure probabilities are shaped by the
 // session context (ISP, BS, signal level, RAT transition, policy) and
@@ -77,7 +78,7 @@ struct CampaignResult {
   /// columnar shard batches at merge time. Null in materialized mode.
   /// Bit-identical query results to `Aggregator(dataset)` of a materialized
   /// run of the same scenario, for every thread count.
-  std::unique_ptr<StreamingAggregator> stream;
+  std::unique_ptr<Aggregator> stream;
   std::vector<RecoveryEpisode> recovery_episodes;
   OverheadSummary overhead;
   /// Per-shard metric sinks merged in shard-index order plus campaign-level
@@ -95,11 +96,10 @@ struct CampaignResult {
   /// folds, so the merge is order-independent.
   std::unique_ptr<detect::HealthTracker> health_state;
   std::unique_ptr<detect::HealthReport> health;
-  /// Inline query results (Scenario::inline_queries, same order). In
-  /// materialized mode the specs run over `dataset` after the merge; in
-  /// streaming mode executors consume the columnar shard batches during the
-  /// merge itself. Byte-identical JSON/CSV exports across both modes and
-  /// every `threads` value.
+  /// Inline query results (Scenario::inline_queries, same order). In every
+  /// mode the executors consume the columnar shard batches during the merge
+  /// walk. Byte-identical JSON/CSV exports across both modes and every
+  /// `threads` value, and to cellrel_query over the exported dataset.
   std::vector<query::QueryResult> query_results;
   std::uint64_t simulated_events = 0;
   std::uint64_t episodes_run = 0;

@@ -40,7 +40,7 @@ struct Scenario {
   std::uint32_t threads = 1;
 
   /// Streaming aggregation: shards emit columnar RecordBatches that are
-  /// folded into a StreamingAggregator at merge time, and the merged
+  /// folded into an Aggregator during the merge walk, and the merged
   /// TraceDataset is never materialized (CampaignResult::dataset stays
   /// empty; CampaignResult::stream holds every §3 table). Bit-identical
   /// analysis output to the materialized path at every thread count.
@@ -61,9 +61,8 @@ struct Scenario {
   std::string stream_out_dir;
 
   /// Inline queries (src/query, DESIGN.md §12): each spec is evaluated
-  /// during the campaign merge — against the merged dataset in materialized
-  /// mode, or incrementally from the columnar shard batches in streaming
-  /// mode (including spill) without materializing records. Results land in
+  /// during the campaign merge walk, incrementally from the columnar shard
+  /// batches in every mode (including spill). Results land in
   /// CampaignResult::query_results in this order, byte-identical across
   /// modes and for every `threads` value.
   std::vector<query::QuerySpec> inline_queries;

@@ -5,7 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
+#include "analysis/batch.h"
 #include "analysis/report.h"
+#include "analysis/string_pool.h"
 
 namespace cellrel {
 namespace {
@@ -210,6 +215,200 @@ TEST(Aggregator, BsSlices) {
   EXPECT_DOUBLE_EQ(by_rat[index_of(Rat::k4G)], 2.0 / 3.0);
   EXPECT_DOUBLE_EQ(by_rat[index_of(Rat::k3G)], 0.0);
   EXPECT_DOUBLE_EQ(by_rat[index_of(Rat::k5G)], 1.0);
+}
+
+TEST(Aggregator, LevelMembershipCountsEachDeviceOncePerLevel) {
+  TraceDataset data;
+  data.devices = {
+      device(1, 1, IspId::kIspA, true, AndroidVersion::kAndroid10),
+      device(2, 2, IspId::kIspB, false, AndroidVersion::kAndroid10),
+  };
+  // Device 1: three failures at 4G level 3, plus 5G level 1 and 5G level 3
+  // (two levels, two RATs). Device 2: one failure at 4G level 3.
+  data.records = {
+      record(1, FailureType::kDataStall, 10.0, SignalLevel::kLevel3, Rat::k4G),
+      record(1, FailureType::kDataStall, 10.0, SignalLevel::kLevel3, Rat::k4G),
+      record(1, FailureType::kDataSetupError, 10.0, SignalLevel::kLevel3, Rat::k4G),
+      record(1, FailureType::kDataStall, 10.0, SignalLevel::kLevel1, Rat::k5G),
+      record(1, FailureType::kOutOfService, 10.0, SignalLevel::kLevel3, Rat::k5G),
+      record(2, FailureType::kDataStall, 10.0, SignalLevel::kLevel3, Rat::k4G),
+  };
+  // 1 mean connected hour per device at every (RAT, level): 4 per level.
+  for (Rat rat : kAllRats) {
+    for (SignalLevel level : kAllSignalLevels) data.connected_time.add(rat, level, 7200.0);
+  }
+  const Aggregator agg(data);
+
+  const auto by_level = agg.normalized_prevalence_by_level();
+  EXPECT_DOUBLE_EQ(by_level[3], 1.0 / 4.0);  // devices 1 and 2, once each
+  EXPECT_DOUBLE_EQ(by_level[1], 0.5 / 4.0);  // device 1 only
+  for (std::size_t l : {0u, 2u, 4u, 5u}) EXPECT_EQ(by_level[l], 0.0) << "level " << l;
+
+  const auto by_rat_level = agg.normalized_prevalence_by_rat_level();
+  EXPECT_DOUBLE_EQ(by_rat_level[index_of(Rat::k4G)][3], 1.0);  // devices 1 and 2
+  EXPECT_DOUBLE_EQ(by_rat_level[index_of(Rat::k5G)][3], 0.5);  // device 1
+  EXPECT_DOUBLE_EQ(by_rat_level[index_of(Rat::k5G)][1], 0.5);  // device 1
+  EXPECT_EQ(by_rat_level[index_of(Rat::k4G)][1], 0.0);
+  double cells = 0.0;
+  for (const auto& per_rat : by_rat_level) {
+    for (double v : per_rat) cells += v;
+  }
+  EXPECT_DOUBLE_EQ(cells, 2.0);  // nothing else is set
+}
+
+TEST(Aggregator, RecordOfUnknownDeviceCountsOverallButInNoSlice) {
+  TraceDataset data = build_dataset();
+  data.records.push_back(record(99, FailureType::kDataStall, 40.0));  // not in devices
+  const Aggregator agg(data);
+
+  const PrevalenceFrequency pf = agg.overall();
+  EXPECT_EQ(pf.devices, 4u);
+  EXPECT_EQ(pf.failing_devices, 3u);
+  EXPECT_EQ(pf.failures, 5u);
+
+  const auto sum = [](auto slices) {
+    PrevalenceFrequency total;
+    for (const PrevalenceFrequency& s : slices) {
+      total.devices += s.devices;
+      total.failing_devices += s.failing_devices;
+      total.failures += s.failures;
+    }
+    return total;
+  };
+  std::vector<PrevalenceFrequency> models;
+  for (const auto& [model, slice] : agg.by_model()) models.push_back(slice);
+  for (const PrevalenceFrequency& slices :
+       {sum(models), sum(agg.by_5g_capability()), sum(agg.by_android_version()),
+        sum(agg.by_isp())}) {
+    EXPECT_EQ(slices.devices, 4u);
+    EXPECT_EQ(slices.failing_devices, 2u);  // devices 1 and 2 only
+    EXPECT_EQ(slices.failures, 4u);
+  }
+}
+
+void expect_same_samples(const SampleSet& a, const SampleSet& b) {
+  ASSERT_EQ(a.size(), b.size());
+  EXPECT_EQ(a.sum(), b.sum());  // insertion-order sum
+  const std::span<const double> sa = a.sorted();
+  const std::span<const double> sb = b.sorted();
+  for (std::size_t i = 0; i < sa.size(); ++i) EXPECT_EQ(sa[i], sb[i]) << "sample " << i;
+}
+
+void expect_same_pf(const PrevalenceFrequency& a, const PrevalenceFrequency& b) {
+  EXPECT_EQ(a.devices, b.devices);
+  EXPECT_EQ(a.failing_devices, b.failing_devices);
+  EXPECT_EQ(a.failures, b.failures);
+}
+
+TEST(Aggregator, BatchFeedEqualsDatasetFeedOnEveryTable) {
+  TraceDataset data = build_dataset();
+  data.records.push_back(record(99, FailureType::kDataStall, 40.0, SignalLevel::kLevel0));
+  data.records[2].at = SimTime::from_seconds(1234.5);
+  data.records[3].bs = 2;
+  for (Rat rat : kAllRats) {
+    for (SignalLevel level : kAllSignalLevels) {
+      data.connected_time.add(rat, level, 1000.0 + 10.0 * static_cast<double>(index_of(level)));
+    }
+  }
+  for (int i = 0; i < 20; ++i) {
+    data.dwells.push_back(DwellRecord{1, Rat::k4G, SignalLevel::kLevel2, i % 4 == 0});
+    data.transitions.push_back(TransitionRecord{1, Rat::k4G, SignalLevel::kLevel2, Rat::k5G,
+                                                SignalLevel::kLevel1, i % 3 == 0});
+  }
+  data.base_stations = {
+      BsMeta{0, IspId::kIspA, 0b0100, LocationClass::kUrban, 10},
+      BsMeta{1, IspId::kIspB, 0b1100, LocationClass::kRural, 0},
+      BsMeta{2, IspId::kIspC, 0b1110, LocationClass::kDenseUrban, 3},
+  };
+  const Aggregator whole(data);
+
+  // The same records as columnar batches of two rows, consumed in order.
+  Aggregator streamed;
+  streamed.add_devices(data.devices);
+  StringPool apns;
+  RecordBatch batch(2);
+  for (const TraceRecord& r : data.records) {
+    batch.push(r, apns);
+    if (batch.full()) {
+      streamed.consume(batch);
+      batch.clear();
+    }
+  }
+  if (!batch.empty()) streamed.consume(batch);
+  streamed.add_connected_time(data.connected_time);
+  TransitionDwellCounts td;
+  for (const DwellRecord& d : data.dwells) td.add(d);
+  for (const TransitionRecord& t : data.transitions) td.add(t);
+  streamed.add_counts(td);
+  streamed.set_base_stations(data.base_stations);
+
+  expect_same_pf(whole.overall(), streamed.overall());
+  const auto models_a = whole.by_model();
+  const auto models_b = streamed.by_model();
+  ASSERT_EQ(models_a.size(), models_b.size());
+  for (const auto& [model, pf] : models_a) expect_same_pf(pf, models_b.at(model));
+  for (const bool flag : {false, true}) {
+    for (std::size_t i = 0; i < 2; ++i) {
+      expect_same_pf(whole.by_5g_capability(flag)[i], streamed.by_5g_capability(flag)[i]);
+      expect_same_pf(whole.by_android_version(flag)[i], streamed.by_android_version(flag)[i]);
+    }
+  }
+  for (std::size_t i = 0; i < kIspCount; ++i) {
+    expect_same_pf(whole.by_isp()[i], streamed.by_isp()[i]);
+  }
+  EXPECT_EQ(whole.mean_failures_per_device_by_type(), streamed.mean_failures_per_device_by_type());
+  const auto counts_a = whole.per_device_counts();
+  const auto counts_b = streamed.per_device_counts();
+  expect_same_samples(counts_a.total, counts_b.total);
+  for (std::size_t t = 0; t < kFailureTypeCount; ++t) {
+    expect_same_samples(counts_a.by_type[t], counts_b.by_type[t]);
+    const auto type = static_cast<FailureType>(t);
+    expect_same_samples(whole.durations_of(type), streamed.durations_of(type));
+  }
+  expect_same_samples(whole.durations_all(), streamed.durations_all());
+  EXPECT_EQ(whole.duration_share_by_type(), streamed.duration_share_by_type());
+
+  const ZipfFit zipf_a = whole.bs_zipf_fit();
+  const ZipfFit zipf_b = streamed.bs_zipf_fit();
+  EXPECT_EQ(zipf_a.a, zipf_b.a);
+  EXPECT_EQ(zipf_a.b, zipf_b.b);
+  EXPECT_EQ(zipf_a.r_squared, zipf_b.r_squared);
+  const auto rank_a = whole.bs_ranking_stats();
+  const auto rank_b = streamed.bs_ranking_stats();
+  EXPECT_EQ(rank_a.median, rank_b.median);
+  EXPECT_EQ(rank_a.mean, rank_b.mean);
+  EXPECT_EQ(rank_a.max, rank_b.max);
+  EXPECT_EQ(rank_a.with_failures, rank_b.with_failures);
+  EXPECT_EQ(rank_a.total, rank_b.total);
+  EXPECT_EQ(whole.bs_prevalence_by_rat(), streamed.bs_prevalence_by_rat());
+
+  EXPECT_EQ(whole.normalized_prevalence_by_level(), streamed.normalized_prevalence_by_level());
+  EXPECT_EQ(whole.normalized_prevalence_by_rat_level(),
+            streamed.normalized_prevalence_by_rat_level());
+
+  const auto codes_a = whole.top_error_codes();
+  const auto codes_b = streamed.top_error_codes();
+  ASSERT_EQ(codes_a.size(), codes_b.size());
+  for (std::size_t i = 0; i < codes_a.size(); ++i) {
+    EXPECT_EQ(codes_a[i].cause, codes_b[i].cause);
+    EXPECT_EQ(codes_a[i].count, codes_b[i].count);
+    EXPECT_EQ(codes_a[i].percent, codes_b[i].percent);
+  }
+  for (Rat from : kAllRats) {
+    for (Rat to : kAllRats) {
+      EXPECT_EQ(whole.transition_increase(from, to), streamed.transition_increase(from, to));
+    }
+  }
+
+  const auto score_a = whole.filter_score();
+  const auto score_b = streamed.filter_score();
+  EXPECT_EQ(score_a.true_positives, score_b.true_positives);
+  EXPECT_EQ(score_a.false_negatives, score_b.false_negatives);
+  EXPECT_EQ(score_a.false_positives, score_b.false_positives);
+  EXPECT_EQ(score_a.true_negatives, score_b.true_negatives);
+  EXPECT_EQ(whole.total_records(), streamed.total_records());
+  EXPECT_EQ(whole.filtered_records(), streamed.filtered_records());
+  EXPECT_EQ(whole.has_ground_truth(), streamed.has_ground_truth());
 }
 
 // --- report renderers ---

@@ -1,5 +1,5 @@
 // Streaming aggregation equivalence: a campaign run with Scenario::stream
-// must produce a StreamingAggregator whose every §3 query — prevalence
+// must produce an Aggregator whose every §3 query — prevalence
 // slices, duration samples, BS landscape, signal normalization, error
 // codes, transition matrices, filter score — is EXACTLY equal (bit-for-bit
 // on doubles) to the materialized Aggregator over the same scenario, for
@@ -53,7 +53,7 @@ void expect_identical_pf(const PrevalenceFrequency& a, const PrevalenceFrequency
 
 /// Every Aggregator table, exact-equal between the materialized aggregator
 /// and the streaming one.
-void expect_equivalent(const Aggregator& mat, const StreamingAggregator& str) {
+void expect_equivalent(const Aggregator& mat, const Aggregator& str) {
   expect_identical_pf(mat.overall(), str.overall());
 
   const auto mat_models = mat.by_model();

@@ -9,8 +9,8 @@
 // env var, if set, wins).
 //
 // --stream runs the memory-bounded streaming aggregation path: shards emit
-// columnar record batches that are folded into a StreamingAggregator at
-// merge time and the merged dataset never exists in memory; the printed
+// columnar record batches that the merge walk folds into an Aggregator,
+// and the merged dataset never exists in memory; the printed
 // report and --metrics-out file are bit-identical to the default path.
 // --spill-dir DIR additionally spills sealed batches to per-shard CSV files
 // under DIR, bounding batch residency to O(shards x batch capacity).
@@ -45,9 +45,9 @@ using namespace cellrel;
 
 namespace {
 
-/// Headline report over the unified aggregation surface (materialized or
-/// streaming — identical query set, identical output bytes).
-void print_report_from(const AggregatorView& agg, const CampaignResult& result) {
+/// Headline report from the one Aggregator (folded during the merge walk,
+/// or from the materialized dataset — identical output bytes).
+void print_report_from(const Aggregator& agg, const CampaignResult& result) {
   const auto overall = agg.overall();
   const SampleSet durations = agg.durations_all();
   const auto share = agg.duration_share_by_type();
