@@ -3,6 +3,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <vector>
 
 #include "analysis/aggregate.h"
@@ -11,6 +12,9 @@
 #include "core/prober.h"
 #include "net/tcp_stats.h"
 #include "sim/event_queue.h"
+#include "timp/recovery_optimizer.h"
+#include "timp/timp_model.h"
+#include "workload/calibration.h"
 #include "workload/campaign.h"
 
 namespace cellrel {
@@ -148,6 +152,35 @@ void BM_AggregatorFullReport(benchmark::State& state) {
                           static_cast<std::int64_t>(r.dataset.records.size()));
 }
 BENCHMARK(BM_AggregatorFullReport)->Unit(benchmark::kMillisecond);
+
+// An empirical auto-recovery curve of 16,000 calibrated stall durations,
+// about the number of Data_Stall records a 4,000-device campaign measures.
+AutoRecoveryCurve empirical_stall_curve() {
+  Rng rng(3);
+  std::vector<double> durations;
+  const auto& cdf = default_calibration().stall_auto_recovery_cdf;
+  for (int i = 0; i < 16'000; ++i) durations.push_back(cdf.sample(rng));
+  return AutoRecoveryCurve::from_durations(durations);
+}
+
+// One Eq. 1 evaluation, the annealer's objective, at the paper's optimum.
+void BM_TimpExpectedRecovery(benchmark::State& state) {
+  const TimpModel model(empirical_stall_curve(), TimpModel::Params{});
+  std::array<double, 3> probations = {21.0, 6.0, 16.0};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(probations);
+    benchmark::DoNotOptimize(model.expected_recovery_time(probations));
+  }
+}
+BENCHMARK(BM_TimpExpectedRecovery)->Unit(benchmark::kMicrosecond);
+
+// The whole §4.2 anneal (about 4,800 evaluations) on the same curve: the
+// work cellbench's `timp_optimize_s` times.
+void BM_RecoveryOptimizeEmpirical(benchmark::State& state) {
+  const RecoveryOptimizer optimizer(TimpModel(empirical_stall_curve(), TimpModel::Params{}));
+  for (auto _ : state) benchmark::DoNotOptimize(optimizer.optimize().evaluations);
+}
+BENCHMARK(BM_RecoveryOptimizeEmpirical)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace cellrel

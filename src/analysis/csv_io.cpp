@@ -1,6 +1,7 @@
 #include "analysis/csv_io.h"
 
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -47,6 +48,22 @@ std::optional<double> parse_double(std::string_view s) {
   char* end = nullptr;
   const double v = std::strtod(buf, &end);
   if (end != buf + s.size()) return std::nullopt;
+  return v;
+}
+
+/// A seconds field: finite and non-negative (strtod also accepts "nan",
+/// "inf" and "-5").
+std::optional<double> parse_seconds(std::string_view s) {
+  const auto v = parse_double(s);
+  if (!v || !std::isfinite(*v) || *v < 0.0) return std::nullopt;
+  return v;
+}
+
+/// A seconds field the simulation clock can hold: SimDuration::seconds
+/// truncates s * 1e6 to int64, which is undefined at 2^63 and beyond.
+std::optional<double> parse_sim_seconds(std::string_view s) {
+  const auto v = parse_seconds(s);
+  if (!v || !(*v * 1e6 < 0x1p63)) return std::nullopt;
   return v;
 }
 
@@ -124,8 +141,8 @@ std::optional<TraceRecord> trace_record_from_csv(std::string_view line) {
   const auto model = parse_number<int>(f[1]);
   const auto isp = isp_from_string(f[2]);
   const auto type = failure_type_from_string(f[3]);
-  const auto at = parse_double(f[4]);
-  const auto duration = parse_double(f[5]);
+  const auto at = parse_sim_seconds(f[4]);
+  const auto duration = parse_sim_seconds(f[5]);
   const auto method = duration_method_from_string(f[6]);
   const auto rat = rat_from_string(f[7]);
   const auto level = parse_number<std::size_t>(f[8]);
@@ -302,7 +319,7 @@ TraceDataset read_dataset_sidecars_csv(const std::filesystem::path& dir) {
       if (f.size() != 3) malformed(file, n);
       const auto rat = rat_from_string(f[0]);
       const auto level = parse_number<std::size_t>(f[1]);
-      const auto seconds = parse_double(f[2]);
+      const auto seconds = parse_seconds(f[2]);
       if (!rat || !level || *level >= kSignalLevelCount || !seconds) malformed(file, n);
       data.connected_time.add(*rat, signal_level_from_index(*level), *seconds);
     });
@@ -346,6 +363,22 @@ TraceDataset read_dataset_sidecars_csv(const std::filesystem::path& dir) {
     });
   }
   return data;
+}
+
+void require_transition_samples(const TraceDataset& dataset,
+                                const std::filesystem::path& dir) {
+  if (!dataset.transitions.empty() || !dataset.dwells.empty()) return;
+  for (const auto& by_level : dataset.connected_time.seconds) {
+    for (const double s : by_level) {
+      if (s > 0.0) {
+        throw std::runtime_error(
+            "csv_io: " + dir.string() +
+            " has connected time but no transition/dwell samples (a `cellrel_campaign "
+            "--stream --out` export); the Fig. 17 transition matrix needs a dataset "
+            "written without --stream");
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

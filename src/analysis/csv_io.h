@@ -50,6 +50,14 @@ TraceDataset read_dataset_csv(const std::filesystem::path& dir);
 /// from a dataset directory. Throws like read_dataset_csv.
 TraceDataset read_dataset_sidecars_csv(const std::filesystem::path& dir);
 
+/// Throws std::runtime_error when `dataset`, read from `dir`, holds
+/// connected time but no transition or dwell sample. Every session adds
+/// connected time and exactly one sample, so only a `--stream --out` export
+/// (header-only sidecars, see write_streaming_sidecars_csv) looks like this,
+/// and a Fig. 17 matrix over it would read all zero.
+void require_transition_samples(const TraceDataset& dataset,
+                                const std::filesystem::path& dir);
+
 // --- parsing helpers (exposed for tests) ---
 std::optional<FailureType> failure_type_from_string(std::string_view s);
 std::optional<IspId> isp_from_string(std::string_view s);
@@ -57,7 +65,8 @@ std::optional<Rat> rat_from_string(std::string_view s);
 std::optional<DurationMethod> duration_method_from_string(std::string_view s);
 std::optional<CellIdentity> cell_identity_from_string(std::string_view s);
 
-/// Parses one records.csv row (the to_csv() format).
+/// Parses one records.csv row (the to_csv() format). at_s and duration_s
+/// must be finite, non-negative and within SimDuration's range.
 std::optional<TraceRecord> trace_record_from_csv(std::string_view line);
 
 // ---------------------------------------------------------------------------

@@ -9,10 +9,10 @@
 #ifndef CELLREL_TIMP_ANNEALING_H
 #define CELLREL_TIMP_ANNEALING_H
 
-#include <array>
 #include <algorithm>
+#include <array>
 #include <cmath>
-#include <functional>
+#include <cstdint>
 
 #include "common/rng.h"
 
@@ -40,10 +40,11 @@ struct AnnealingResult {
   std::uint64_t evaluations = 0;
 };
 
-/// Minimizes `objective` over the box. Deterministic for a given rng seed.
-template <std::size_t N>
-AnnealingResult<N> anneal(const AnnealingConfig<N>& config,
-                          const std::function<double(const std::array<double, N>&)>& objective,
+/// Minimizes `objective`, a `double(const std::array<double, N>&)`
+/// callable, over the box. Deterministic for a given rng seed. A template
+/// parameter rather than std::function, so the objective can inline.
+template <std::size_t N, typename Objective>
+AnnealingResult<N> anneal(const AnnealingConfig<N>& config, const Objective& objective,
                           Rng rng) {
   auto clamp_point = [&](std::array<double, N>& x) {
     for (std::size_t i = 0; i < N; ++i) {

@@ -29,7 +29,8 @@
 #define CELLREL_TIMP_TIMP_MODEL_H
 
 #include <array>
-#include <functional>
+#include <cstddef>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -45,11 +46,28 @@ class AutoRecoveryCurve {
   explicit AutoRecoveryCurve(PiecewiseCdf cdf);
 
   /// From raw measured stall durations in seconds (empirical route): F is
-  /// the empirical CDF with step interpolation.
+  /// the empirical CDF with step interpolation. Throws std::invalid_argument
+  /// when `durations_s` is empty or holds a non-finite or negative value.
   static AutoRecoveryCurve from_durations(std::span<const double> durations_s);
 
   /// F(t) in [0, 1]; non-decreasing; F(0) = 0.
   double cdf(double t_seconds) const;
+
+  /// F(t) along one forward walk of t: each call returns exactly cdf(t),
+  /// but the empirical search resumes where the previous call stopped
+  /// instead of bisecting the whole sample. The t of successive calls must
+  /// not decrease (values <= 0 excepted), so a cursor serves one integral;
+  /// make a new one for the next.
+  class Cursor {
+   public:
+    explicit Cursor(const AutoRecoveryCurve& curve) : curve_(&curve) {}
+    double cdf(double t_seconds);
+
+   private:
+    const AutoRecoveryCurve* curve_;
+    std::size_t count_ = 0;  // empirical samples <= the last t
+    double last_t_ = -std::numeric_limits<double>::infinity();
+  };
 
   /// Largest duration with mass (t_m in Eq. 1).
   double max_duration() const { return max_duration_; }
@@ -94,17 +112,34 @@ class TimpModel {
   double recovery_probability(int state, double window_start, double t) const;
 
   /// Expected overall recovery time T_recovery = T_0 for the probation
-  /// triple, per Eq. 1 (expected-dwell form).
+  /// triple, per Eq. 1 (expected-dwell form). Throws std::invalid_argument
+  /// unless every probation is finite and > 0.
   double expected_recovery_time(const std::array<double, 3>& probations_s) const;
 
   const AutoRecoveryCurve& curve() const { return curve_; }
   const Params& params() const { return params_; }
 
  private:
+  /// What survival() needs of a window besides t: the auto-recovery
+  /// survival at its start, and the stage's e/tau/d (unused for S0).
+  struct Window {
+    int state = 0;
+    double start = 0.0;
+    double auto_survive_start = 1.0;
+    double e = 0.0;
+    double tau = 0.0;
+    double d = 0.0;
+  };
+  Window window(int state, double window_start) const;
+
   double survival(int state, double window_start, double t) const;
-  /// Integrates survival over [from, to]; for long tails the step grows
-  /// geometrically so the t_m = 91,770 s integral stays cheap.
-  double integrate_survival(int state, double window_start, double from, double to) const;
+  /// survival() at t in window `w`, reading F through `cdf`.
+  template <typename Cdf>
+  static double survival(const Window& w, double t, Cdf&& cdf);
+  /// Integrates survival over [w.start, to] by the midpoint rule, one
+  /// Cursor walking F forward; for long tails the step grows geometrically
+  /// so the t_m = 91,770 s integral stays cheap.
+  double integrate_survival(const Window& w, double to) const;
 
   AutoRecoveryCurve curve_;
   Params params_;

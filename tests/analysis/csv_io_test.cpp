@@ -90,6 +90,55 @@ TEST(CsvParsing, RejectsMalformedRows) {
           .has_value());
 }
 
+TEST(CsvParsing, RejectsNonFiniteNegativeAndOutOfRangeSeconds) {
+  TraceRecord r;
+  r.at = SimTime::from_seconds(1234.5);
+  r.duration = SimDuration::seconds(78.25);
+  const std::string line = to_csv(r);
+  // Replaces field `index` (at_s = 4, duration_s = 5) of the valid row.
+  const auto with_field = [&line](std::size_t index, const std::string& value) {
+    std::size_t begin = 0;
+    for (std::size_t i = 0; i < index; ++i) begin = line.find(',', begin) + 1;
+    const std::size_t end = line.find(',', begin);
+    return line.substr(0, begin) + value + line.substr(end);
+  };
+  ASSERT_TRUE(trace_record_from_csv(line).has_value());
+  for (const std::size_t field : {4u, 5u}) {
+    // strtod parses every one of these; 9.3e12 s is past SimDuration's
+    // int64 microsecond range (about 9.22e12 s).
+    for (const char* bad : {"nan", "NAN", "-nan", "inf", "-inf", "infinity", "1e300",
+                            "9.3e12", "-5", "-0.001"}) {
+      EXPECT_FALSE(trace_record_from_csv(with_field(field, bad)).has_value())
+          << "field " << field << " = " << bad;
+    }
+    for (const char* good : {"0", "-0", "0.001", "9.2e12"}) {
+      EXPECT_TRUE(trace_record_from_csv(with_field(field, good)).has_value())
+          << "field " << field << " = " << good;
+    }
+  }
+  const auto huge = trace_record_from_csv(with_field(5, "9.2e12"));
+  ASSERT_TRUE(huge.has_value());
+  EXPECT_EQ(huge->duration.count_us(), 9'200'000'000'000'000'000);
+}
+
+TEST(CsvIo, ConnectedTimeRejectsNonFiniteAndNegativeSeconds) {
+  for (const char* bad : {"nan", "inf", "-inf", "-5"}) {
+    ScopedTempDir dir;
+    write_dataset_csv(TraceDataset{}, dir.path());
+    {
+      std::ofstream out(dir.path() / DatasetFiles::kConnectedTime, std::ios::app);
+      out << "4G,2," << bad << "\n";
+    }
+    try {
+      read_dataset_sidecars_csv(dir.path());
+      ADD_FAILURE() << "accepted connected-time seconds " << bad;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(DatasetFiles::kConnectedTime), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(CsvIo, DatasetRoundTripPreservesAnalysis) {
   Scenario sc;
   sc.device_count = 300;

@@ -37,9 +37,12 @@ using namespace cellrel;
 
 namespace {
 
-bool load_dataset(const std::string& dir, TraceDataset* dataset) {
+/// Loads DIR; `needs_transitions` (the Fig. 17 matrix is printed) refuses a
+/// `--stream --out` directory, whose transition/dwell sidecars are empty.
+bool load_dataset(const std::string& dir, bool needs_transitions, TraceDataset* dataset) {
   try {
     *dataset = read_dataset_csv(dir);
+    if (needs_transitions) require_transition_samples(*dataset, dir);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return false;
@@ -149,7 +152,7 @@ int cmd_report(int argc, char** argv) {
   }
 
   TraceDataset dataset;
-  if (!load_dataset(parsed.positionals[0], &dataset)) return 1;
+  if (!load_dataset(parsed.positionals[0], figures || !report_path.empty(), &dataset)) return 1;
   const Aggregator agg(dataset);
   print_summary(dataset, agg);
   if (figures) print_figures(agg);
@@ -168,7 +171,7 @@ int cmd_health(int argc, char** argv) {
   }
 
   TraceDataset dataset;
-  if (!load_dataset(parsed.positionals[0], &dataset)) return 1;
+  if (!load_dataset(parsed.positionals[0], false, &dataset)) return 1;
   run_health_replay(dataset, window_s);
   return 0;
 }
@@ -221,7 +224,9 @@ int cmd_legacy(int argc, char** argv) {
   }
 
   TraceDataset dataset;
-  if (!load_dataset(parsed.positionals[0], &dataset)) return 1;
+  if (!load_dataset(parsed.positionals[0], figures || !report_path.empty(), &dataset)) {
+    return 1;
+  }
   const Aggregator agg(dataset);
   print_summary(dataset, agg);
   if (health) {

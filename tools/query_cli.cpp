@@ -67,15 +67,16 @@ int run_query_tool(const QueryToolOptions& opts, const std::vector<std::string>&
 
   query::QueryResult result;
   try {
-    if (!opts.spill_dir.empty()) {
-      // Spill shards carry only the record stream; fleet/BS/transition
-      // sidecars come from the dataset directory.
-      const TraceDataset sidecars = read_dataset_sidecars_csv(positionals[0]);
-      result = query::execute_over_spill(opts.spill_dir, sidecars, spec);
-    } else {
-      const TraceDataset dataset = read_dataset_csv(positionals[0]);
-      result = query::execute_over_dataset(dataset, spec);
+    // Spill shards carry only the record stream; fleet/BS/transition
+    // sidecars come from the dataset directory.
+    const bool spill = !opts.spill_dir.empty();
+    const TraceDataset dataset = spill ? read_dataset_sidecars_csv(positionals[0])
+                                       : read_dataset_csv(positionals[0]);
+    if (spec.agg == query::AggKind::kTransition) {
+      require_transition_samples(dataset, positionals[0]);
     }
+    result = spill ? query::execute_over_spill(opts.spill_dir, dataset, spec)
+                   : query::execute_over_dataset(dataset, spec);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
