@@ -91,6 +91,33 @@ void BM_TcpWindowAccounting(benchmark::State& state) {
 }
 BENCHMARK(BM_TcpWindowAccounting);
 
+// The net layer as a stall episode drives it: a 10-minute periodic flow
+// (2.5 s period) whose inbound gate closes once mid-flow, polled by the
+// Data_Stall detector every 10 s. Items are polls.
+void BM_TcpPeriodicFlowPoll(benchmark::State& state) {
+  const SimDuration period = SimDuration::seconds(2.5);
+  const SimDuration poll = SimDuration::seconds(10.0);
+  const SimTime stop = SimTime::origin() + SimDuration::minutes(10.0);
+  const SimTime gate_closes = SimTime::from_seconds(241.3);
+  std::int64_t polls = 0;
+  for (auto _ : state) {
+    TcpSegmentCounters tcp;
+    tcp.start_flow(SimTime::origin(), period);
+    bool gated = false;
+    for (SimTime t = SimTime::origin() + poll; t <= stop; t += poll) {
+      if (!gated && gate_closes < t) {
+        tcp.set_inbound_open(gate_closes, false);
+        gated = true;
+      }
+      benchmark::DoNotOptimize(tcp.stall_suspected(t));
+      ++polls;
+    }
+    tcp.stop_flow(stop);
+  }
+  state.SetItemsProcessed(polls);
+}
+BENCHMARK(BM_TcpPeriodicFlowPoll);
+
 void BM_ProberEpisode(benchmark::State& state) {
   for (auto _ : state) {
     Simulator sim;

@@ -23,7 +23,14 @@ std::optional<NetworkFault> parse_network_fault(std::string_view name) {
   return std::nullopt;
 }
 
-NetworkStack::NetworkStack(Simulator& sim, Rng rng) : sim_(sim), rng_(rng) {}
+NetworkStack::NetworkStack(Simulator& sim, Rng rng, TcpSegmentCounters* segments)
+    : sim_(sim), rng_(rng), segments_(segments) {}
+
+void NetworkStack::inject_fault(NetworkFault fault) {
+  fault_ = fault;
+  // Inbound traffic flows only while the data path works end to end.
+  if (segments_) segments_->set_inbound_open(sim_.now(), fault == NetworkFault::kNone);
+}
 
 void NetworkStack::answer(bool reachable, SimDuration rtt_mean, SimDuration timeout,
                           ProbeCallback cb) {

@@ -23,6 +23,7 @@
 
 #include "common/rng.h"
 #include "common/sim_time.h"
+#include "net/tcp_stats.h"
 #include "sim/event_queue.h"
 
 namespace cellrel {
@@ -68,7 +69,10 @@ struct ProbeOutcome {
 /// The device-side network stack the prober exercises.
 class NetworkStack {
  public:
-  NetworkStack(Simulator& sim, Rng rng);
+  /// `segments`, when given, are the device's TCP counters: every fault
+  /// change opens or closes their inbound gate, so periodic-flow segments are
+  /// received exactly while the fault is kNone. They must outlive the stack.
+  NetworkStack(Simulator& sim, Rng rng, TcpSegmentCounters* segments = nullptr);
 
   NetworkStack(const NetworkStack&) = delete;
   NetworkStack& operator=(const NetworkStack&) = delete;
@@ -76,7 +80,7 @@ class NetworkStack {
   /// Current injected fault; the campaign flips this when synthesizing
   /// stalls and device-side problems.
   NetworkFault fault() const { return fault_; }
-  void inject_fault(NetworkFault fault) { fault_ = fault; }
+  void inject_fault(NetworkFault fault);
 
   /// Addresses of the DNS servers assigned to the device (typically 2).
   std::size_t dns_server_count() const { return dns_server_count_; }
@@ -101,6 +105,7 @@ class NetworkStack {
 
   Simulator& sim_;
   Rng rng_;
+  TcpSegmentCounters* segments_;
   NetworkFault fault_ = NetworkFault::kNone;
   std::size_t dns_server_count_ = 2;
   std::uint64_t probes_sent_ = 0;

@@ -24,7 +24,7 @@ TelephonyManager::TelephonyManager(Simulator& sim, Rng rng, Config config)
       ril_(sim, rng.fork(0x7261646921ULL)),
       dc_tracker_(sim, ril_, with_carrier_apn(config.dc, apn_manager_)),
       tcp_(SimDuration::minutes(1)),
-      network_(sim, rng.fork(0x6e657421ULL)),
+      network_(sim, rng.fork(0x6e657421ULL), &tcp_),
       stall_detector_(sim, tcp_, network_, config.stall),
       recoverer_(sim, config.recovery_schedule,
                  DataStallRecoverer::Hooks{

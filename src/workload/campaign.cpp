@@ -467,7 +467,6 @@ class Campaign::DeviceRun final : public FailureEventListener {
   /// counted in cap_hits_.
   template <typename Done>
   void drive_until(const Done& done, std::uint64_t max_steps = 4'000'000);
-  void schedule_traffic();
   bool stage_fix(RecoveryStage stage);
   void clear_fault();
   void teardown_quietly();
@@ -492,7 +491,6 @@ class Campaign::DeviceRun final : public FailureEventListener {
   StallState stall_;
   ScheduledEvent auto_clear_;
   ScheduledEvent user_reset_;
-  bool traffic_running_ = false;
 
   // Scenario-pack accounting (DESIGN.md §13), published per shard sink only
   // when the owning feature is enabled so pack-free exports stay byte-stable.
@@ -816,18 +814,7 @@ void Campaign::DeviceRun::teardown_quietly() {
   auto& tm = mod_->telephony();
   tm.dc_tracker().teardown(false);
   tm.stall_detector().stop();
-  traffic_running_ = false;
-}
-
-void Campaign::DeviceRun::schedule_traffic() {
-  if (!traffic_running_) return;
-  auto& tm = mod_->telephony();
-  const SimTime now = sim_->now();
-  tm.tcp().on_segment_sent(now);
-  // Inbound traffic flows only while the data path works end-to-end.
-  const NetworkFault f = tm.network().fault();
-  if (f == NetworkFault::kNone) tm.tcp().on_segment_received(now);
-  sim_->schedule_after(SimDuration::seconds(2.5), [this] { schedule_traffic(); });
+  tm.tcp().stop_flow(sim_->now());
 }
 
 bool Campaign::DeviceRun::stage_fix(RecoveryStage stage) {
@@ -981,8 +968,9 @@ void Campaign::DeviceRun::run_stall_episode(const Session& s, EpisodeKind kind) 
     stall_.hardness_factor = 0.0;
   }
 
-  traffic_running_ = true;
-  schedule_traffic();
+  // App traffic: a segment every 2.5 s, received while the path is healthy
+  // (the stack gates inbound delivery on every fault change).
+  tm.tcp().start_flow(sim_->now(), SimDuration::seconds(2.5));
   tm.stall_detector().start();
 
   const IncidentConfig& incident = scenario_.incident;

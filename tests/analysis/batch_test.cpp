@@ -12,6 +12,7 @@
 #include "analysis/csv_io.h"
 #include "analysis/string_pool.h"
 #include "bs/cell_id.h"
+#include "support/temp_path.h"
 
 namespace cellrel {
 namespace {
@@ -169,8 +170,7 @@ TEST(BatchArena, RecyclesReleasedBuffers) {
 }
 
 TEST(BatchSpill, WriteReadRoundTripIsLossless) {
-  const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "cellrel_batch_spill_test";
+  const std::filesystem::path dir = test_support::unique_temp_path("cellrel_batch_spill_test");
   std::filesystem::create_directories(dir);
   const std::filesystem::path file = dir / spill_shard_file(3);
   EXPECT_EQ(spill_shard_file(3), "shard-3.csv");

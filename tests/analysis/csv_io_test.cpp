@@ -6,6 +6,7 @@
 #include <fstream>
 
 #include "analysis/aggregate.h"
+#include "support/temp_path.h"
 #include "workload/campaign.h"
 
 namespace cellrel {
@@ -15,7 +16,7 @@ namespace fs = std::filesystem;
 
 class ScopedTempDir {
  public:
-  ScopedTempDir() : path_(fs::temp_directory_path() / "cellrel_csv_test") {
+  ScopedTempDir() : path_(test_support::unique_temp_path("cellrel_csv_test")) {
     fs::remove_all(path_);
     fs::create_directories(path_);
   }

@@ -4,6 +4,7 @@
 
 #include "analysis/aggregate.h"
 #include "analysis/csv_io.h"
+#include "support/temp_path.h"
 #include "workload/campaign.h"
 
 namespace cellrel {
@@ -46,7 +47,7 @@ TEST(FullReport, OptionsControlVerbosity) {
 TEST(FullReport, ImportedDatasetOmitsFilterScore) {
   // Ground truth never leaves the simulation; a round-tripped dataset must
   // not pretend to score the filter.
-  const auto dir = std::filesystem::temp_directory_path() / "cellrel_report_test";
+  const auto dir = test_support::unique_temp_path("cellrel_report_test");
   std::filesystem::remove_all(dir);
   write_dataset_csv(campaign_dataset(), dir);
   const TraceDataset imported = read_dataset_csv(dir);

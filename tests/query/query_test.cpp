@@ -30,6 +30,7 @@
 #include "query/export.h"
 #include "query/presets.h"
 #include "query/spec.h"
+#include "support/temp_path.h"
 #include "workload/campaign.h"
 
 namespace cellrel::query {
@@ -136,7 +137,7 @@ TEST_F(QueryContractTest, EmptyInputProducesFullDomainRows) {
 TEST_F(QueryContractTest, AllSourcesByteIdenticalAcrossSeedsAndThreads) {
   const std::vector<QuerySpec> specs = all_specs();
   const std::filesystem::path base =
-      std::filesystem::temp_directory_path() / "cellrel_query_contract_test";
+      test_support::unique_temp_path("cellrel_query_contract_test");
   std::filesystem::remove_all(base);
 
   for (const std::uint64_t seed : {11ULL, 71ULL, 2021ULL}) {

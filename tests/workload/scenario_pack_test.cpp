@@ -35,10 +35,14 @@
 #include "query/engine.h"
 #include "query/export.h"
 #include "query/presets.h"
+#include "support/temp_path.h"
+#include "support/trace_digest.h"
 #include "workload/mobility.h"
 
 namespace cellrel {
 namespace {
+
+using test_support::trace_digest;
 
 Scenario pack_scenario(std::uint64_t seed, std::uint32_t threads) {
   Scenario sc;
@@ -86,39 +90,6 @@ Scenario variant_scenario(const PackVariant& v, std::uint64_t seed,
   Scenario sc = pack_scenario(seed, threads);
   v.configure(sc);
   return sc;
-}
-
-/// FNV-1a fold over every deterministic field of the merged trace — a cheap
-/// exact-equality proxy so the battery does not hold N full datasets alive.
-std::uint64_t trace_digest(const TraceDataset& ds) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  const auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 0x100000001b3ULL;
-  };
-  for (const TraceRecord& r : ds.records) {
-    mix(r.device);
-    mix(static_cast<std::uint64_t>(r.model_id));
-    mix(static_cast<std::uint64_t>(index_of(r.isp)));
-    mix(static_cast<std::uint64_t>(index_of(r.type)));
-    mix(static_cast<std::uint64_t>(r.at.since_origin().count_us()));
-    mix(static_cast<std::uint64_t>(r.duration.count_us()));
-    mix(static_cast<std::uint64_t>(index_of(r.rat)));
-    mix(static_cast<std::uint64_t>(index_of(r.level)));
-    mix(static_cast<std::uint64_t>(r.bs));
-    mix(static_cast<std::uint64_t>(r.cause));
-    mix(r.filtered_false_positive ? 1u : 0u);
-    mix(r.probe_rounds);
-  }
-  for (const TransitionRecord& t : ds.transitions) {
-    mix(t.device);
-    mix(static_cast<std::uint64_t>(index_of(t.from_rat)));
-    mix(static_cast<std::uint64_t>(index_of(t.from_level)));
-    mix(static_cast<std::uint64_t>(index_of(t.to_rat)));
-    mix(static_cast<std::uint64_t>(index_of(t.to_level)));
-    mix(t.failure_within_window ? 1u : 0u);
-  }
-  return h;
 }
 
 std::uint64_t rat_transition_count(const TraceDataset& ds) {
@@ -195,7 +166,7 @@ TEST_F(ScenarioPackTest, BitIdenticalAcrossSeedsAndThreads) {
 // behind must reproduce the materialized answer byte-for-byte.
 TEST_F(ScenarioPackTest, StreamingAndSpillRoundTripMatchMaterialized) {
   const std::filesystem::path base =
-      std::filesystem::temp_directory_path() / "cellrel_scenario_pack_test";
+      test_support::unique_temp_path("cellrel_scenario_pack_test");
   std::filesystem::remove_all(base);
   for (const PackVariant& v : kVariants) {
     SCOPED_TRACE(v.name);

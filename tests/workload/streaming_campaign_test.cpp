@@ -19,6 +19,7 @@
 #include "analysis/csv_io.h"
 #include "analysis/full_report.h"
 #include "obs/export.h"
+#include "support/temp_path.h"
 #include "workload/campaign.h"
 
 namespace cellrel {
@@ -210,7 +211,7 @@ TEST_F(StreamingCampaignTest, EveryTableBitIdenticalAcrossSeedsAndThreads) {
 
 TEST_F(StreamingCampaignTest, SpillPathEquallyBitIdentical) {
   const std::filesystem::path spill_dir =
-      std::filesystem::temp_directory_path() / "cellrel_streaming_spill_test";
+      test_support::unique_temp_path("cellrel_streaming_spill_test");
   std::filesystem::remove_all(spill_dir);
 
   const CampaignResult materialized = Campaign(streaming_scenario(71, 1)).run();
@@ -261,7 +262,7 @@ TEST_F(StreamingCampaignTest, FullReportAndMetricsByteIdentical) {
 
 TEST_F(StreamingCampaignTest, StreamOutExportMatchesMaterializedBytes) {
   const std::filesystem::path base =
-      std::filesystem::temp_directory_path() / "cellrel_stream_out_test";
+      test_support::unique_temp_path("cellrel_stream_out_test");
   std::filesystem::remove_all(base);
   const std::filesystem::path mat_dir = base / "materialized";
   const std::filesystem::path stream_dir = base / "streamed";
